@@ -24,7 +24,7 @@ import (
 
 func benchDeployment(b *testing.B) *Deployment {
 	b.Helper()
-	d, err := NewDeployment(Options{DataDir: b.TempDir()})
+	d, err := New(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkPredictCacheHit(b *testing.B) {
 // cost.
 func BenchmarkPredictCacheHitTraced(b *testing.B) {
 	b.ReportAllocs()
-	d, err := NewDeployment(Options{DataDir: b.TempDir(), Trace: true})
+	d, err := New(b.TempDir(), WithTracing())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("parallelism-%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := NewDeployment(Options{DataDir: b.TempDir(), Parallelism: p})
+				d, err := New(b.TempDir(), WithParallelism(p))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -116,11 +116,7 @@ func requireFailOpen(t *testing.T, d *Deployment, desc slurm.JobDesc) (slurm.Job
 // trace event recorded.
 func TestChaosTotalStorageFaultFailsOpen(t *testing.T) {
 	tracer := trace.New()
-	d := newDeployment(t, Options{
-		SlurmConf: chaosConf,
-		Retry:     core.DefaultRetryPolicy(),
-		Tracer:    tracer,
-	})
+	d := newDeployment(t, WithSlurmConf(chaosConf), WithRetryPolicy(core.DefaultRetryPolicy()), WithTracer(tracer))
 	if d.Plugin.Budget() != chaosBudget {
 		t.Fatalf("plugin budget = %v, conf not threaded", d.Plugin.Budget())
 	}
@@ -193,10 +189,7 @@ func TestChaosTotalStorageFaultFailsOpen(t *testing.T) {
 // degradation story: a fault schedule that clears after two hits is
 // absorbed by the retry policy and the submission is still rewritten.
 func TestChaosRetryRescuesTransientFault(t *testing.T) {
-	d := newDeployment(t, Options{
-		SlurmConf: chaosConf,
-		Retry:     core.DefaultRetryPolicy(),
-	})
+	d := newDeployment(t, WithSlurmConf(chaosConf), WithRetryPolicy(core.DefaultRetryPolicy()))
 	preloadHealthy(t, d)
 	// The first two model reads fail; the third attempt (within the
 	// retry policy's three) succeeds.
@@ -224,11 +217,7 @@ func TestChaosRetryRescuesTransientFault(t *testing.T) {
 // partially-rewritten job.
 func TestChaosSubmitInvariantsUnderRandomSchedules(t *testing.T) {
 	seed := chaosSeed(t)
-	d := newDeployment(t, Options{
-		SlurmConf: chaosConf,
-		Retry:     core.DefaultRetryPolicy(),
-		Seed:      seed,
-	})
+	d := newDeployment(t, WithSlurmConf(chaosConf), WithRetryPolicy(core.DefaultRetryPolicy()), WithSeed(seed))
 	preloadHealthy(t, d)
 
 	ops := []string{
@@ -282,10 +271,7 @@ func TestChaosSubmitInvariantsUnderRandomSchedules(t *testing.T) {
 // (including their retry backoffs) and leave no goroutine behind.
 func TestChaosCloseDrainsWithoutLeak(t *testing.T) {
 	defer leakcheck.Check(t)()
-	d, err := NewDeployment(Options{
-		DataDir: t.TempDir(),
-		Retry:   core.DefaultRetryPolicy(),
-	})
+	d, err := New(t.TempDir(), WithRetryPolicy(core.DefaultRetryPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}

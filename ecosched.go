@@ -7,13 +7,13 @@
 // embedded database, and the optimizer models (brute force, linear
 // regression, random forest, genetic).
 //
-// The entry point is NewDeployment, which wires a complete simulated
+// The entry point is New, which wires a complete simulated
 // cluster: hardware nodes, slurmctld with the eco plugin enabled,
 // Chronus with repository/blob/settings storage, and the IPMI
 // telemetry path. From there the paper's whole workflow runs in
 // simulated time:
 //
-//	d, _ := ecosched.NewDeployment(ecosched.Options{DataDir: dir})
+//	d, _ := ecosched.New(dir)
 //	d.BenchmarkConfigs(ecosched.PaperSweepConfigs(), 0) // chronus benchmark
 //	meta, _ := d.TrainModel("brute-force")              // chronus init-model
 //	d.PreloadModel(meta.ID)                             // chronus load-model
@@ -75,8 +75,9 @@ const (
 	RepoCSV    RepositoryKind = "csv"
 )
 
-// Options configure a simulated deployment.
-type Options struct {
+// options configure a simulated deployment; New and the With…
+// functions are the only way to set them.
+type options struct {
 	// Nodes is the cluster size (default 1, the paper's setup).
 	Nodes int
 	// RooflineNodes adds this many extra nodes whose throughput comes
@@ -91,12 +92,6 @@ type Options struct {
 	DataDir string
 	// Repository selects the storage backend (default RepoFileDB).
 	Repository RepositoryKind
-	// HPCGPath is the benchmark binary path (default the paper's
-	// /opt/hpcg/build/bin/xhpcg).
-	HPCGPath string
-	// PluginState is the eco plugin's initial state (default user —
-	// opt-in via the chronus comment).
-	PluginState settings.State
 	// SlurmConf overrides the slurm.conf text (default enables the eco
 	// plugin with the stock budget).
 	SlurmConf string
@@ -107,17 +102,8 @@ type Options struct {
 	// journalled to DataDir/events.jsonl. Off by default so the hot
 	// path stays allocation-free (every trace type is nil-safe).
 	Trace bool
-	// TraceJournalMaxBytes bounds events.jsonl before rotation
-	// (default trace.DefaultJournalMaxBytes).
-	TraceJournalMaxBytes int64
-	// TraceSampleRate head-samples the decision traces: roughly this
-	// fraction of submissions (keyed deterministically by job id and
-	// Seed) journal their spans; errors and degraded outcomes are
-	// always journalled. <= 0 or >= 1 keeps everything — the default.
-	TraceSampleRate float64
 	// Tracer injects an externally-built tracer (tests); when set,
-	// Trace, TraceJournalMaxBytes and TraceSampleRate are ignored and
-	// the deployment does not own a journal.
+	// Trace is ignored and the deployment does not own a journal.
 	Tracer *trace.Tracer
 	// Parallelism is the benchmark sweep's worker-pool width: how many
 	// configurations are measured concurrently, each on its own
@@ -139,66 +125,49 @@ type Options struct {
 	Retry core.RetryPolicy
 }
 
-// Option mutates Options — the functional configuration of New.
-type Option func(*Options)
+// Option mutates the deployment options — the functional
+// configuration of New.
+type Option func(*options)
 
 // WithNodes sets the cluster size.
-func WithNodes(n int) Option { return func(o *Options) { o.Nodes = n } }
+func WithNodes(n int) Option { return func(o *options) { o.Nodes = n } }
 
 // WithRooflineNodes adds roofline-modelled nodes (§6.2.3).
-func WithRooflineNodes(n int) Option { return func(o *Options) { o.RooflineNodes = n } }
+func WithRooflineNodes(n int) Option { return func(o *options) { o.RooflineNodes = n } }
 
 // WithSeed sets the simulation seed.
-func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
+func WithSeed(seed uint64) Option { return func(o *options) { o.Seed = seed } }
 
 // WithRepository selects the storage backend.
-func WithRepository(kind RepositoryKind) Option { return func(o *Options) { o.Repository = kind } }
-
-// WithHPCGPath overrides the benchmark binary path.
-func WithHPCGPath(path string) Option { return func(o *Options) { o.HPCGPath = path } }
-
-// WithPluginState sets the eco plugin's initial state.
-func WithPluginState(state settings.State) Option { return func(o *Options) { o.PluginState = state } }
+func WithRepository(kind RepositoryKind) Option { return func(o *options) { o.Repository = kind } }
 
 // WithSlurmConf overrides the slurm.conf text.
-func WithSlurmConf(conf string) Option { return func(o *Options) { o.SlurmConf = conf } }
+func WithSlurmConf(conf string) Option { return func(o *options) { o.SlurmConf = conf } }
 
 // WithLogWriter directs Chronus log output.
-func WithLogWriter(w io.Writer) Option { return func(o *Options) { o.LogW = w } }
+func WithLogWriter(w io.Writer) Option { return func(o *options) { o.LogW = w } }
 
 // WithTracing enables decision tracing with a journal at
 // DataDir/events.jsonl.
-func WithTracing() Option { return func(o *Options) { o.Trace = true } }
-
-// WithTraceJournalMaxBytes bounds the event journal's size cap.
-func WithTraceJournalMaxBytes(n int64) Option {
-	return func(o *Options) { o.TraceJournalMaxBytes = n }
-}
+func WithTracing() Option { return func(o *options) { o.Trace = true } }
 
 // WithTracer injects an externally-built tracer.
-func WithTracer(t *trace.Tracer) Option { return func(o *Options) { o.Tracer = t } }
-
-// WithTraceSampling head-samples decision traces at the given rate
-// (errors are always kept). Implies nothing about tracing being on —
-// combine with WithTracing.
-func WithTraceSampling(rate float64) Option {
-	return func(o *Options) { o.TraceSampleRate = rate }
-}
+func WithTracer(t *trace.Tracer) Option { return func(o *options) { o.Tracer = t } }
 
 // WithParallelism sets the benchmark sweep's worker-pool width.
-func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
+func WithParallelism(n int) Option { return func(o *options) { o.Parallelism = n } }
 
 // WithFault activates a fault-injection schedule (fault.ParsePlan
 // syntax) from construction on — the CLI's -fault flag.
-func WithFault(spec string) Option { return func(o *Options) { o.FaultSpec = spec } }
+func WithFault(spec string) Option { return func(o *options) { o.FaultSpec = spec } }
 
 // WithFaultSeed seeds the fault injector independently of the
 // simulation seed.
-func WithFaultSeed(seed uint64) Option { return func(o *Options) { o.FaultSeed = seed } }
+func WithFaultSeed(seed uint64) Option { return func(o *options) { o.FaultSeed = seed } }
 
 // WithRetryPolicy enables bounded retry-with-backoff on Chronus's
 // transient load stages.
-func WithRetryPolicy(p core.RetryPolicy) Option { return func(o *Options) { o.Retry = p } }
+func WithRetryPolicy(p core.RetryPolicy) Option { return func(o *options) { o.Retry = p } }
 
 // Deployment is a wired, running simulated installation.
 type Deployment struct {
@@ -231,35 +200,28 @@ type Deployment struct {
 	fs      procfs.FileReader
 	dataDir string
 	// closers tear down everything acquired during construction, in
-	// reverse acquisition order. Both the NewDeployment error paths
+	// reverse acquisition order. Both the New error paths
 	// and Close run the same list, so a store acquired after a failing
 	// step can never leak.
 	closers []func() error
 }
 
-// New builds a deployment for dataDir, configured by functional
-// options — the preferred constructor:
+// hpcgPath is the benchmark binary path, the paper's xhpcg build.
+const hpcgPath = "/opt/hpcg/build/bin/xhpcg"
+
+// New builds the full stack of the paper's Figure 2 in simulation for
+// dataDir: head node (slurmctld + Chronus + eco plugin), compute
+// node(s) with BMCs, and the storage substrate, configured by
+// functional options:
 //
 //	d, err := ecosched.New(dir, ecosched.WithNodes(4), ecosched.WithSeed(7))
-func New(dataDir string, opts ...Option) (*Deployment, error) {
-	o := Options{DataDir: dataDir}
-	for _, opt := range opts {
-		opt(&o)
+func New(dataDir string, with ...Option) (*Deployment, error) {
+	if dataDir == "" {
+		return nil, fmt.Errorf("ecosched: a data directory is required")
 	}
-	return buildDeployment(o)
-}
-
-// NewDeployment builds the full stack of the paper's Figure 2 in
-// simulation: head node (slurmctld + Chronus + eco plugin), compute
-// node(s) with BMCs, and the storage substrate. It is the
-// struct-options compatibility wrapper around New.
-func NewDeployment(opts Options) (*Deployment, error) {
-	return buildDeployment(opts)
-}
-
-func buildDeployment(opts Options) (*Deployment, error) {
-	if opts.DataDir == "" {
-		return nil, fmt.Errorf("ecosched: Options.DataDir is required")
+	opts := options{DataDir: dataDir}
+	for _, opt := range with {
+		opt(&opts)
 	}
 	if opts.Nodes <= 0 {
 		opts.Nodes = 1
@@ -267,14 +229,8 @@ func buildDeployment(opts Options) (*Deployment, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.HPCGPath == "" {
-		opts.HPCGPath = "/opt/hpcg/build/bin/xhpcg"
-	}
 	if opts.Repository == "" {
 		opts.Repository = RepoFileDB
-	}
-	if opts.PluginState == "" {
-		opts.PluginState = settings.StateUser
 	}
 	if opts.SlurmConf == "" {
 		opts.SlurmConf = "ClusterName=ecosched\nJobSubmitPlugins=eco\n"
@@ -305,12 +261,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := slurm.NewController(sim, conf, nodes...)
-	if err != nil {
-		return nil, err
-	}
 	reg := metrics.New()
-	cluster.SetMetrics(reg)
 
 	// Everything acquired from here on registers a closer; on any
 	// construction error the same closers run (in reverse) that Close
@@ -324,24 +275,23 @@ func buildDeployment(opts Options) (*Deployment, error) {
 
 	tracer := opts.Tracer
 	if tracer == nil && opts.Trace {
-		journal, err := trace.OpenJournal(filepath.Join(opts.DataDir, EventsFile), opts.TraceJournalMaxBytes)
+		journal, err := trace.OpenJournal(filepath.Join(opts.DataDir, EventsFile), trace.DefaultJournalMaxBytes)
 		if err != nil {
 			return nil, err
 		}
 		closers = append(closers, journal.Close)
-		rate := opts.TraceSampleRate
-		if rate <= 0 {
-			rate = 1 // unset keeps everything
-		}
-		tracer = trace.New(trace.WithJournal(journal),
-			trace.WithMetrics(reg),
-			trace.WithHeadSampling(rate, opts.Seed))
+		tracer = trace.New(trace.WithJournal(journal), trace.WithMetrics(reg))
 		// Appended after journal.Close so the reversed teardown stops
 		// the async drainer (final flush included) before the journal
 		// file closes underneath it.
 		closers = append(closers, tracer.Close)
 	}
-	cluster.SetTracer(tracer)
+	cluster, err := slurm.NewCluster(sim, conf, slurm.WithNodes(nodes...),
+		slurm.WithMetrics(reg), slurm.WithTracer(tracer))
+	if err != nil {
+		cleanup()
+		return nil, err
+	}
 
 	// The fault injector is always wired — with no rules every decorated
 	// operation passes straight through — so chaos tests can flip faults
@@ -368,9 +318,10 @@ func buildDeployment(opts Options) (*Deployment, error) {
 	case RepoCSV:
 		repo, err = repository.OpenCSV(filepath.Join(opts.DataDir, "database"))
 	default:
-		return nil, fmt.Errorf("ecosched: unknown repository kind %q", opts.Repository)
+		err = fmt.Errorf("ecosched: unknown repository kind %q", opts.Repository)
 	}
 	if err != nil {
+		cleanup()
 		return nil, err
 	}
 	closers = append(closers, repo.Close)
@@ -390,7 +341,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 		cleanup()
 		return nil, err
 	}
-	initial.State = opts.PluginState
+	initial.State = settings.StateUser // opt-in via the chronus comment
 	initial.DatabasePath = filepath.Join(opts.DataDir, "database")
 	initial.BlobStoragePath = filepath.Join(opts.DataDir, "blobs")
 	if err := rawSettings.Save(initial); err != nil {
@@ -407,7 +358,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 		return nil, err
 	}
 	var system core.SystemService = fault.System(rawSystem, inj)
-	runner, err := core.NewHPCGRunner(cluster, opts.HPCGPath, calib.JobGFLOP)
+	runner, err := core.NewHPCGRunner(cluster, hpcgPath, calib.JobGFLOP)
 	if err != nil {
 		cleanup()
 		return nil, err
@@ -430,7 +381,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, seed+uint64(idx)*0x9e3779b9)
 		bbmc := ipmi.NewBMC(bnode)
 		bbmc.ChmodWorldReadable()
-		bcluster, err := slurm.NewController(bsim, benchConf, bnode)
+		bcluster, err := slurm.NewCluster(bsim, benchConf, slurm.WithNodes(bnode))
 		if err != nil {
 			return core.BenchNode{}, err
 		}
@@ -478,7 +429,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 		Sim: sim, Cluster: cluster, Nodes: nodes, BMCs: bmcs,
 		Chronus: chronus, Plugin: plugin,
 		Repo: repo, Blob: blobStore, Settings: settingsStore,
-		HPCGPath: opts.HPCGPath, Metrics: reg, Tracer: tracer, Fault: inj,
+		HPCGPath: hpcgPath, Metrics: reg, Tracer: tracer, Fault: inj,
 		fs: fs, dataDir: opts.DataDir,
 	}
 	// Registered last → run first on Close: drain in-flight predictions
@@ -491,7 +442,7 @@ func buildDeployment(opts Options) (*Deployment, error) {
 
 // retryPolicy resolves the deployment's retry policy, defaulting its
 // jitter seed to the simulation seed so one seed reproduces the run.
-func retryPolicy(opts Options) core.RetryPolicy {
+func retryPolicy(opts options) core.RetryPolicy {
 	p := opts.Retry
 	if p.Seed == 0 {
 		p.Seed = opts.Seed

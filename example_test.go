@@ -9,10 +9,10 @@ import (
 	"ecosched"
 )
 
-// ExampleNewDeployment walks the paper's full pipeline: benchmark,
+// ExampleNew walks the paper's full pipeline: benchmark,
 // train, pre-load, then submit an opted-in job that the eco plugin
 // rewrites to the energy-efficient configuration.
-func ExampleNewDeployment() {
+func ExampleNew() {
 	dir, err := os.MkdirTemp("", "example")
 	if err != nil {
 		log.Fatal(err)

@@ -164,7 +164,7 @@ func (s *BenchmarkService) benchmarkOne(ctx context.Context, runID, sysID int64,
 		span.SetAttr("sim_runtime", result.Runtime.String())
 	}
 	s.deps.Metrics.Counter(metricBenchmarkRuns).Inc()
-	s.deps.Metrics.Histogram(metricBenchmarkJobRuntime).ObserveDuration(result.Runtime)
+	s.deps.Metrics.BucketedHistogram(metricBenchmarkJobRuntime).ObserveDuration(result.Runtime)
 	agg, err := trace.Aggregate()
 	if err != nil {
 		return repository.Benchmark{}, fmt.Errorf("core: benchmark trace: %w", err)

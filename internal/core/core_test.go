@@ -53,7 +53,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	controller, err := slurm.NewController(sim, conf, node)
+	controller, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}

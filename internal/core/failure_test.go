@@ -208,7 +208,7 @@ func TestSlurmRejectsBudgetBlowingPredictor(t *testing.T) {
 	}
 	// Fresh controller configured with only the slow plugin.
 	conf, _ := slurm.ParseConf("JobSubmitPlugins=eco\nPluginBudget=2s\n")
-	c2, err := slurm.NewController(r.sim, conf, r.node)
+	c2, err := slurm.NewCluster(r.sim, conf, slurm.WithNodes(r.node))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,12 +193,12 @@ func (s *BenchmarkService) commitBatch(batch []measured) error {
 		rows[i] = m.row
 		s.log.Printf("GFLOP/s rating found: %.5f", m.row.GFLOPS)
 		s.deps.Metrics.Counter(metricBenchmarkRuns).Inc()
-		s.deps.Metrics.Histogram(metricBenchmarkJobRuntime).Observe(m.row.RuntimeSeconds)
+		s.deps.Metrics.BucketedHistogram(metricBenchmarkJobRuntime).Observe(m.row.RuntimeSeconds)
 	}
 	if _, err := s.deps.Repo.SaveBenchmarks(rows); err != nil {
 		return err
 	}
-	s.deps.Metrics.Histogram(metricSweepBatchRows).Observe(float64(len(rows)))
+	s.deps.Metrics.BucketedHistogram(metricSweepBatchRows).Observe(float64(len(rows)))
 	return nil
 }
 

@@ -62,7 +62,7 @@ func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	controller, err := slurm.NewController(sim, conf, node)
+	controller, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func newPooledRig(t *testing.T, parallelism int, ledger *samplerLedger, hook fun
 		bnode := hw.NewNode(bsim, hw.DefaultSpec(), calib, 1+uint64(idx)*0x9e3779b9)
 		bbmc := ipmi.NewBMC(bnode)
 		bbmc.ChmodWorldReadable()
-		bcluster, err := slurm.NewController(bsim, benchConf, bnode)
+		bcluster, err := slurm.NewCluster(bsim, benchConf, slurm.WithNodes(bnode))
 		if err != nil {
 			return BenchNode{}, err
 		}

@@ -53,7 +53,7 @@ func TestDepsValidationMessages(t *testing.T) {
 func TestRunnerConstructorsValidate(t *testing.T) {
 	sim := simclock.New()
 	node := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
-	c, err := slurm.NewController(sim, slurm.DefaultConf(), node)
+	c, err := slurm.NewCluster(sim, slurm.DefaultConf(), slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestHPCGRunnerSubmitRejection(t *testing.T) {
 	sim := simclock.New()
 	node := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
 	conf, _ := slurm.ParseConf("JobSubmitPlugins=eco\n") // plugin never registered
-	c, err := slurm.NewController(sim, conf, node)
+	c, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestHPCGRunnerJobFailure(t *testing.T) {
 	node := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
 	conf := slurm.DefaultConf()
 	conf.DefaultTimeLimit = 1 // nanosecond — every job times out
-	c, err := slurm.NewController(sim, conf, node)
+	c, err := slurm.NewCluster(sim, conf, slurm.WithNodes(node))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ const (
 func Use(ctx context.Context, r *metrics.Registry, t *trace.Tracer, kind string) {
 	r.Counter(counterRequests).Inc()
 	r.Gauge(gaugeDepth).Set(1)
-	r.Histogram(counterRequests).Observe(2)
 
 	r.Counter("chronus.app.inline").Inc() // want `must be a package-level constant, not an inline string literal`
 	r.Counter(badRoot).Inc()              // want `"app\.requests" .* must match`

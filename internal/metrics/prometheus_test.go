@@ -10,7 +10,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := New()
 	r.Counter("eco.submit.rewritten").Add(3)
 	r.Gauge("predict.cache.entries").Set(2)
-	h := r.Histogram("predict.latency.seconds")
+	h := r.BucketedHistogram("predict.latency.seconds")
 	for _, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
 		h.ObserveDuration(d)
 	}
@@ -23,7 +23,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE eco_submit_rewritten counter\neco_submit_rewritten 3\n",
 		"# TYPE predict_cache_entries gauge\npredict_cache_entries 2\n",
 		"# TYPE predict_latency_seconds summary\n",
-		`predict_latency_seconds{quantile="0.5"} 0.02`,
+		`predict_latency_seconds{quantile="0.5"} 0.020`, // the 20ms bucket's upper bound
 		`predict_latency_seconds{quantile="0.99"} 0.03`,
 		"predict_latency_seconds_sum 0.06",
 		"predict_latency_seconds_count 3\n",
@@ -42,7 +42,7 @@ func TestWritePrometheus(t *testing.T) {
 // but still expose _sum and _count so the series exists.
 func TestWritePrometheusEmptyHistogram(t *testing.T) {
 	r := New()
-	r.Histogram("idle.latency.seconds")
+	r.BucketedHistogram("idle.latency.seconds")
 
 	var b strings.Builder
 	r.Snapshot().WritePrometheus(&b)
@@ -66,24 +66,5 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// The satellite fix: stat() must sort the window once, and the
-// quantiles it reports must agree with Quantile().
-func TestStatQuantilesAgree(t *testing.T) {
-	h := &Histogram{}
-	for i := 100; i >= 1; i-- {
-		h.Observe(float64(i))
-	}
-	st := h.stat()
-	if got := h.Quantile(0.5); got != st.P50 {
-		t.Errorf("P50: stat=%g Quantile=%g", st.P50, got)
-	}
-	if got := h.Quantile(0.99); got != st.P99 {
-		t.Errorf("P99: stat=%g Quantile=%g", st.P99, got)
-	}
-	if st.P50 != 50 || st.P90 != 90 || st.P99 != 99 {
-		t.Errorf("stat = %+v", st)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"ecosched/internal/metrics"
 	"ecosched/internal/simclock"
 	"ecosched/internal/trace"
+	"ecosched/internal/workload"
 )
 
 // Per-partition metric name prefixes; the partition name is appended
@@ -157,11 +158,6 @@ type partPolicyOpt struct {
 	policy    SchedulingPolicy
 }
 
-type workloadOpt struct {
-	binaryPath string
-	workload   Workload
-}
-
 type clusterConfig struct {
 	shared       []*hw.Node
 	partNodes    []partNodesOpt
@@ -172,7 +168,6 @@ type clusterConfig struct {
 	aggregate    bool
 	batched      bool
 	usageSink    func(uid uint32, cpuSeconds float64)
-	workloads    []workloadOpt
 	fallback     Workload
 	policies     []SchedPolicy
 }
@@ -243,14 +238,6 @@ func WithUsageSink(fn func(uid uint32, cpuSeconds float64)) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.usageSink = fn }
 }
 
-// WithWorkload registers a binary-path → workload-model mapping at
-// construction.
-func WithWorkload(binaryPath string, w Workload) ClusterOption {
-	return func(cfg *clusterConfig) {
-		cfg.workloads = append(cfg.workloads, workloadOpt{binaryPath: binaryPath, workload: w})
-	}
-}
-
 // WithFallbackWorkload sets the workload used for unknown binaries.
 func WithFallbackWorkload(w Workload) ClusterOption {
 	return func(cfg *clusterConfig) { cfg.fallback = w }
@@ -285,7 +272,7 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 		conf:       conf,
 		nextID:     1,
 		workloads:  make(map[string]Workload),
-		fallback:   SleepWorkload{Label: "unknown", D: time.Minute},
+		fallback:   workload.Sleep("unknown", time.Minute),
 		acct:       &Accounting{aggregateOnly: cfg.aggregate},
 		policy:     FIFOPolicy{},
 		usage:      make(map[uint32]float64),
@@ -303,9 +290,6 @@ func NewCluster(sim *simclock.Sim, conf Conf, opts ...ClusterOption) (*Controlle
 	}
 	if cfg.fallback != nil {
 		c.fallback = cfg.fallback
-	}
-	for _, w := range cfg.workloads {
-		c.workloads[w.binaryPath] = w.workload
 	}
 
 	for i := range conf.Partitions {

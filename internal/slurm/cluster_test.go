@@ -2,7 +2,6 @@ package slurm
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -22,44 +21,6 @@ func clusterNodes(sim *simclock.Sim, n int) []*hw.Node {
 		nodes[i] = hw.NewNode(sim, spec, perfmodel.Default(), uint64(i+1))
 	}
 	return nodes
-}
-
-// TestNewControllerMatchesNewCluster proves the deprecated wrapper is
-// seed-equivalent to the options form: the same submissions through
-// both produce identical accounting.
-func TestNewControllerMatchesNewCluster(t *testing.T) {
-	run := func(build func(sim *simclock.Sim, nodes []*hw.Node) (*Controller, error)) []AcctRecord {
-		sim := simclock.New()
-		c, err := build(sim, clusterNodes(sim, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.RegisterWorkload("/opt/hpcg/xhpcg", FixedWorkWorkload{Label: "hpcg", GFLOP: 24000})
-		for i := 0; i < 6; i++ {
-			desc := JobDesc{
-				Name:       "eq",
-				BinaryPath: "/opt/hpcg/xhpcg",
-				NumTasks:   32,
-				MaxFreqKHz: 2_500_000,
-				TimeLimit:  time.Hour,
-			}
-			if _, err := c.Submit(desc); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sim.Run()
-		return c.Accounting().Records()
-	}
-
-	legacy := run(func(sim *simclock.Sim, nodes []*hw.Node) (*Controller, error) {
-		return NewController(sim, DefaultConf(), nodes...)
-	})
-	options := run(func(sim *simclock.Sim, nodes []*hw.Node) (*Controller, error) {
-		return NewCluster(sim, DefaultConf(), WithNodes(nodes...))
-	})
-	if !reflect.DeepEqual(legacy, options) {
-		t.Fatalf("NewController and NewCluster accounting diverge:\n%v\nvs\n%v", legacy, options)
-	}
 }
 
 // TestClusterOptionErrors exercises the construction error paths.
@@ -100,11 +61,11 @@ func TestDedicatedPartitionPools(t *testing.T) {
 	c, err := NewCluster(sim, conf,
 		WithPartitionNodes("batch", nodes[0]),
 		WithPartitionNodes("debug", nodes[1]),
-		WithWorkload("/bin/app", SleepWorkload{Label: "app", D: 10 * time.Minute}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.RegisterWorkload("/bin/app", workload.Sleep("app", 10*time.Minute))
 	a, err := c.Submit(JobDesc{Name: "a", BinaryPath: "/bin/app", Partition: "batch", TimeLimit: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +115,6 @@ func TestPerPartitionPolicies(t *testing.T) {
 		WithPartitionNodes("batch", nodes[0]),
 		WithPartitionNodes("fair", nodes[1]),
 		WithPartitionPolicy("fair", DefaultMultifactor(64)),
-		WithWorkload("/bin/app", SleepWorkload{Label: "app", D: 5 * time.Minute}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -176,11 +136,11 @@ func TestPerPartitionPolicies(t *testing.T) {
 func TestShapeDrivenSubmission(t *testing.T) {
 	run := func(desc JobDesc) AcctRecord {
 		sim := simclock.New()
-		c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...),
-			WithWorkload("/opt/hpcg/xhpcg", FixedWorkWorkload{Label: "hpcg", GFLOP: 24000}))
+		c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...))
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.RegisterWorkload("/opt/hpcg/xhpcg", workload.FixedWork("hpcg", 24000))
 		job, err := c.Submit(desc)
 		if err != nil {
 			t.Fatal(err)
@@ -217,47 +177,16 @@ func TestShapeDrivenSubmission(t *testing.T) {
 	}
 }
 
-// legacyTestPlugin is the pre-context plugin shape, kept exercising
-// the AdaptLegacyPlugin bridge.
-type legacyTestPlugin struct{ calls int }
-
-func (*legacyTestPlugin) Name() string { return "eco" }
-
-func (p *legacyTestPlugin) JobSubmit(desc *JobDesc, uid uint32) (time.Duration, error) {
-	p.calls++
-	desc.ThreadsPerCPU = 2
-	return time.Millisecond, nil
-}
-
-func TestAdaptLegacyPlugin(t *testing.T) {
-	_, c := newCluster(t, ecoConf(), 1)
-	legacy := &legacyTestPlugin{}
-	c.RegisterPlugin(AdaptLegacyPlugin(legacy))
-	job, err := c.Submit(hpcgDesc(32, 2_500_000, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.calls != 1 {
-		t.Fatalf("legacy plugin called %d times, want 1", legacy.calls)
-	}
-	if job.Desc.ThreadsPerCPU != 2 {
-		t.Fatalf("legacy rewrite lost: %+v", job.Desc)
-	}
-	if _, err := c.WaitFor(job.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAggregateAccounting checks WithAggregateAccounting keeps totals,
 // drops rows, and retires jobs without breaking dependencies.
 func TestAggregateAccounting(t *testing.T) {
 	sim := simclock.New()
 	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...),
-		WithAggregateAccounting(),
-		WithWorkload("/bin/app", SleepWorkload{Label: "app", D: time.Minute}))
+		WithAggregateAccounting())
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.RegisterWorkload("/bin/app", workload.Sleep("app", time.Minute))
 	first, err := c.Submit(JobDesc{Name: "a", BinaryPath: "/bin/app", TimeLimit: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +223,7 @@ func TestConstructionOptionsWiring(t *testing.T) {
 	sim := simclock.New()
 	c, err := NewCluster(sim, DefaultConf(), WithNodes(clusterNodes(sim, 1)...),
 		WithPolicy(DefaultMultifactor(64)),
-		WithFallbackWorkload(SleepWorkload{Label: "fb", D: 2 * time.Minute}))
+		WithFallbackWorkload(workload.Sleep("fb", 2*time.Minute)))
 	if err != nil {
 		t.Fatal(err)
 	}

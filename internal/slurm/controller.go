@@ -12,7 +12,6 @@ import (
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/simclock"
 	"ecosched/internal/trace"
-	"ecosched/internal/workload"
 )
 
 // Metric, span, and event names (ecolint/metricname: package-level
@@ -47,41 +46,6 @@ type Workload interface {
 	// Plan returns (runtime, sustained GFLOPS) for the configuration
 	// on the node. A zero GFLOPS is valid for non-compute jobs.
 	Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64)
-}
-
-// FixedWorkWorkload is a job with a fixed FLOP budget — the HPCG
-// evaluation jobs: runtime = work / throughput(config).
-//
-// Deprecated: use workload.FixedWork, the unified job-shape
-// vocabulary. This wrapper delegates to it.
-type FixedWorkWorkload struct {
-	Label string
-	GFLOP float64
-}
-
-// Name implements Workload.
-func (w FixedWorkWorkload) Name() string { return w.Label }
-
-// Plan implements Workload.
-func (w FixedWorkWorkload) Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
-	return workload.FixedWork(w.Label, w.GFLOP).Plan(node, cfg)
-}
-
-// SleepWorkload runs for a fixed duration regardless of configuration.
-//
-// Deprecated: use workload.Sleep, the unified job-shape vocabulary.
-// This wrapper delegates to it.
-type SleepWorkload struct {
-	Label string
-	D     time.Duration
-}
-
-// Name implements Workload.
-func (w SleepWorkload) Name() string { return w.Label }
-
-// Plan implements Workload.
-func (w SleepWorkload) Plan(node *hw.Node, cfg perfmodel.Config) (time.Duration, float64) {
-	return workload.Sleep(w.Label, w.D).Plan(node, cfg)
 }
 
 // NodeInfo is one sinfo row.
@@ -171,12 +135,12 @@ type Controller struct {
 	// strictly sequential (plugins cannot submit), so one slot is safe.
 	descScratch JobDesc
 	nextID      int
-	workloads map[string]Workload
-	fallback  Workload
-	acct      *Accounting
-	onDone    []func(*Job)
-	policy    SchedulingPolicy
-	usage     map[uint32]float64 // user id → consumed CPU-seconds
+	workloads   map[string]Workload
+	fallback    Workload
+	acct        *Accounting
+	onDone      []func(*Job)
+	policy      SchedulingPolicy
+	usage       map[uint32]float64 // user id → consumed CPU-seconds
 	// userSlots assigns each user id a dense index into usageBy, the
 	// slice mirror of usage that keyed scheduling passes read: a slice
 	// load per pending job instead of a map probe. Both stores receive
@@ -235,8 +199,8 @@ type Controller struct {
 	activePlug   []SubmitPlugin
 	activePlugOK bool
 
-	// Cached metric handles (nil-safe; refreshed by SetMetrics) so the
-	// event loop skips the registry's map lookups.
+	// Cached metric handles (nil-safe; resolved at construction) so
+	// the event loop skips the registry's map lookups.
 	mSubmitted    *metrics.Counter
 	mRejected     *metrics.Counter
 	mCompleted    *metrics.Counter
@@ -296,16 +260,6 @@ type flushAction struct{ c *Controller }
 
 func (a *flushAction) Fire(uint64) { a.c.flushScheduling() }
 
-// NewController builds a controller over the given nodes with the
-// given configuration, all partitions sharing the node pool.
-//
-// Deprecated: use NewCluster, which scales to per-partition pools and
-// policies; this wrapper is equivalent to
-// NewCluster(sim, conf, WithNodes(nodes...)).
-func NewController(sim *simclock.Sim, conf Conf, nodes ...*hw.Node) (*Controller, error) {
-	return NewCluster(sim, conf, WithNodes(nodes...))
-}
-
 // cacheMetrics resolves the controller's metric handles against the
 // current registry (all nil when unobserved — the types are nil-safe).
 func (c *Controller) cacheMetrics() {
@@ -346,31 +300,6 @@ func (c *Controller) RegisterPlugin(p SubmitPlugin) {
 func (c *Controller) RegisterWorkload(binaryPath string, w Workload) {
 	c.workloads[binaryPath] = w
 }
-
-// SetFallbackWorkload sets the workload used for unknown binaries.
-func (c *Controller) SetFallbackWorkload(w Workload) { c.fallback = w }
-
-// SetPolicy selects the scheduling policy for every partition
-// (default FIFO). Use WithPartitionPolicy at construction for
-// per-partition policies.
-func (c *Controller) SetPolicy(p SchedulingPolicy) {
-	c.policy = p
-	for _, part := range c.parts {
-		part.setPolicy(p)
-	}
-}
-
-// SetMetrics attaches an observability registry; nil (the default)
-// disables instrumentation.
-func (c *Controller) SetMetrics(r *metrics.Registry) {
-	c.metrics = r
-	c.cacheMetrics()
-}
-
-// SetTracer attaches a decision tracer; nil (the default) disables
-// tracing. Every submission then produces one trace (the plugin chain
-// nests under it) and job lifecycle transitions become journal events.
-func (c *Controller) SetTracer(t *trace.Tracer) { c.tracer = t }
 
 // Policy returns the cluster-default scheduling policy.
 func (c *Controller) Policy() SchedulingPolicy { return c.policy }
@@ -968,6 +897,7 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 		}
 	}
 	duration, gflops := w.Plan(node.hw, hwJob.Config)
+	duration, timedOut := capRuntime(duration, job.Desc.TimeLimit)
 	now := c.sim.Now()
 
 	// Deadline extension (§6.2.1): a job that cannot finish in time is
@@ -981,11 +911,6 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 		job.EndTime = now
 		c.finish(job)
 		return nil
-	}
-
-	timedOut := duration > job.Desc.TimeLimit
-	if timedOut {
-		duration = job.Desc.TimeLimit
 	}
 
 	job.State = StateRunning
@@ -1017,6 +942,18 @@ func (c *Controller) start(job *Job, node *nodeD) error {
 	job.timedOut = timedOut
 	c.sim.AfterAction(duration, &c.compAct, uint64(job.ID))
 	return nil
+}
+
+// capRuntime truncates a planned runtime at the job's time limit and
+// reports whether the limit kills the job. Both dispatch paths cap
+// before their deadline check: Slurm's rule is "start > deadline −
+// time limit", so a job whose plan overruns its limit still runs, and
+// times out, when the limit fits the deadline.
+func capRuntime(planned, limit time.Duration) (time.Duration, bool) {
+	if planned > limit {
+		return limit, true
+	}
+	return planned, false
 }
 
 // completeJob is the completion event for a running job, fired through

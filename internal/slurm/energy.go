@@ -527,13 +527,9 @@ func (c *Controller) startSecondary(job *Job, n *nodeD, now time.Time) bool {
 	if dur <= 0 {
 		return false
 	}
-	dur = time.Duration(float64(dur) * c.coschedPenalty)
+	dur, timedOut := capRuntime(time.Duration(float64(dur)*c.coschedPenalty), job.Desc.TimeLimit)
 	if !job.Desc.Deadline.IsZero() && now.Add(dur).After(job.Desc.Deadline) {
 		return false
-	}
-	timedOut := dur > job.Desc.TimeLimit
-	if timedOut {
-		dur = job.Desc.TimeLimit
 	}
 	job.State = StateRunning
 	job.Reason = ""

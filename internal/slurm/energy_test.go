@@ -13,7 +13,7 @@ import (
 
 // newPolicyCluster builds a single-partition cluster with dedicated
 // nodes and the given energy policies attached. The plain newCluster
-// helper uses NewController, which never activates the policy layer.
+// helper shares one node pool and attaches no energy policy.
 func newPolicyCluster(t *testing.T, nodeCount int, pols ...SchedPolicy) (*simclock.Sim, *Controller) {
 	t.Helper()
 	sim := simclock.New()

@@ -264,10 +264,12 @@ func propSignal(start time.Time, seed uint64) DeferralSignal {
 }
 
 // TestDeferralNeverStarvesPastDeadline is invariant 4: with capacity
-// guaranteed (one node per job, sleep runtimes within the time limit),
-// a deferrable job with a deadline always completes by it — across
-// random seeds, signals, and deferral parameters.
+// guaranteed (one node per job), a deferrable job with a deadline
+// always ends by it — completed, or killed by its time limit when its
+// sleep overruns the limit, never cancelled DeadlineUnsatisfiable —
+// across random seeds, signals, and deferral parameters.
 func TestDeferralNeverStarvesPastDeadline(t *testing.T) {
+	timedOut := 0
 	for seed := uint64(1); seed <= propSeeds; seed++ {
 		rng := simclock.NewRNG(seed + 1000)
 		sim := simclock.New()
@@ -289,10 +291,13 @@ func TestDeferralNeverStarvesPastDeadline(t *testing.T) {
 			at += time.Duration(rng.Intn(1800)) * time.Second
 			sim.RunUntil(start.Add(at))
 			d := time.Duration(300+rng.Intn(1500)) * time.Second
+			// Some sleeps overrun their limit: held to the release bound
+			// (deadline − limit), such a job must still start and time
+			// out by its deadline.
 			desc := JobDesc{
 				Name:       fmt.Sprintf("dl-%d", i),
 				NumTasks:   1 + rng.Intn(8),
-				TimeLimit:  d + time.Duration(rng.Intn(600))*time.Second,
+				TimeLimit:  time.Duration(240+rng.Intn(1800)) * time.Second,
 				Deferrable: true,
 				Shape:      &workload.Shape{Kind: workload.ShapeSleep, Label: "dl", Duration: d},
 			}
@@ -308,13 +313,21 @@ func TestDeferralNeverStarvesPastDeadline(t *testing.T) {
 		sim.Run()
 
 		for _, j := range submitted {
-			if j.State != StateCompleted {
-				t.Fatalf("seed %d: job %d ended %s (%s)", seed, j.ID, j.State, j.Reason)
+			want, reason := StateCompleted, ""
+			if j.Desc.Shape.Duration > j.Desc.TimeLimit {
+				want, reason = StateFailed, "TimeLimit"
+				timedOut++
+			}
+			if j.State != want || j.Reason != reason {
+				t.Fatalf("seed %d: job %d ended %s (%s), want %s (%s)", seed, j.ID, j.State, j.Reason, want, reason)
 			}
 			if j.EndTime.After(j.Desc.Deadline) {
 				t.Fatalf("seed %d: job %d finished %v, past its deadline %v (deferred past the release bound)",
 					seed, j.ID, j.EndTime, j.Desc.Deadline)
 			}
 		}
+	}
+	if timedOut == 0 {
+		t.Fatal("no sleep overran its time limit; the capped-runtime deadline case went unexercised")
 	}
 }

@@ -79,8 +79,7 @@ func TestMultifactorTieBreaksBySubmission(t *testing.T) {
 // Integration: with the multifactor policy, a second user's job jumps
 // ahead of a heavy user's queued backlog.
 func TestMultifactorSchedulingEndToEnd(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	c.SetPolicy(DefaultMultifactor(32))
+	_, c := newCluster(t, DefaultConf(), 1, WithPolicy(DefaultMultifactor(32)))
 	if c.Policy().Name() != "multifactor" {
 		t.Fatal("policy not installed")
 	}

@@ -11,9 +11,10 @@ import (
 	"ecosched/internal/paperdata"
 	"ecosched/internal/perfmodel"
 	"ecosched/internal/simclock"
+	"ecosched/internal/workload"
 )
 
-func newCluster(t *testing.T, conf Conf, nodeCount int) (*simclock.Sim, *Controller) {
+func newCluster(t *testing.T, conf Conf, nodeCount int, opts ...ClusterOption) (*simclock.Sim, *Controller) {
 	t.Helper()
 	sim := simclock.New()
 	nodes := make([]*hw.Node, nodeCount)
@@ -24,13 +25,11 @@ func newCluster(t *testing.T, conf Conf, nodeCount int) (*simclock.Sim, *Control
 		}
 		nodes[i] = hw.NewNode(sim, spec, perfmodel.Default(), uint64(i+1))
 	}
-	c, err := NewController(sim, conf, nodes...)
+	c, err := NewCluster(sim, conf, append([]ClusterOption{WithNodes(nodes...)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.RegisterWorkload("/opt/hpcg/xhpcg", FixedWorkWorkload{
-		Label: "hpcg", GFLOP: perfmodel.Default().JobGFLOP,
-	})
+	c.RegisterWorkload("/opt/hpcg/xhpcg", workload.FixedWork("hpcg", perfmodel.Default().JobGFLOP))
 	return sim, c
 }
 
@@ -322,8 +321,7 @@ func TestOversizedJobRejected(t *testing.T) {
 }
 
 func TestUnknownBinaryUsesFallback(t *testing.T) {
-	_, c := newCluster(t, DefaultConf(), 1)
-	c.SetFallbackWorkload(SleepWorkload{Label: "sleep", D: 5 * time.Minute})
+	_, c := newCluster(t, DefaultConf(), 1, WithFallbackWorkload(workload.Sleep("sleep", 5*time.Minute)))
 	job, _ := c.Submit(JobDesc{BinaryPath: "/bin/mystery", NumTasks: 4})
 	done, err := c.WaitFor(job.ID)
 	if err != nil {
@@ -470,6 +468,31 @@ func TestDeadlineUnsatisfiableCancelled(t *testing.T) {
 	}
 }
 
+// A job whose plan overruns its time limit, while the limit itself
+// fits the deadline, runs and is killed by the limit before the
+// deadline — Slurm's "start > deadline − time limit" rule — instead of
+// being cancelled DeadlineUnsatisfiable on its uncapped plan.
+func TestDeadlineCheckUsesCappedRuntime(t *testing.T) {
+	sim, c := newCluster(t, DefaultConf(), 1)
+	desc := hpcgDesc(32, 2_500_000, 1)
+	desc.TimeLimit = 10 * time.Minute               // HPCG needs ~18.5 min
+	desc.Deadline = sim.Now().Add(15 * time.Minute) // the limit fits, the plan does not
+	job, err := c.Submit(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.WaitFor(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateFailed || done.Reason != "TimeLimit" {
+		t.Fatalf("state = %s (%s), want FAILED (TimeLimit)", done.State, done.Reason)
+	}
+	if done.Runtime() != desc.TimeLimit || done.EndTime.After(desc.Deadline) {
+		t.Fatalf("ran %v ending %v, want the %v limit ending by %v", done.Runtime(), done.EndTime, desc.TimeLimit, desc.Deadline)
+	}
+}
+
 func TestDeadlineSatisfiableRuns(t *testing.T) {
 	sim, c := newCluster(t, DefaultConf(), 1)
 	desc := hpcgDesc(32, 2_500_000, 1)
@@ -532,7 +555,7 @@ func TestAccountingAggregates(t *testing.T) {
 
 func TestControllerNeedsNodes(t *testing.T) {
 	sim := simclock.New()
-	if _, err := NewController(sim, DefaultConf()); err == nil {
+	if _, err := NewCluster(sim, DefaultConf()); err == nil {
 		t.Fatal("controller with no nodes accepted")
 	}
 }
@@ -541,7 +564,7 @@ func TestDuplicateNodeNamesRejected(t *testing.T) {
 	sim := simclock.New()
 	a := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 1)
 	b := hw.NewNode(sim, hw.DefaultSpec(), perfmodel.Default(), 2)
-	if _, err := NewController(sim, DefaultConf(), a, b); err == nil {
+	if _, err := NewCluster(sim, DefaultConf(), WithNodes(a, b)); err == nil {
 		t.Fatal("duplicate node names accepted")
 	}
 }

@@ -190,13 +190,23 @@ func (aw *asyncWriter) run() {
 func (aw *asyncWriter) flush() {
 	var batch []asyncEntry
 	var taken [asyncShardCount][]asyncEntry
+	// Take every ring under all shard locks at once — a consistent cut.
+	// Taken one by one, a ring emptied early could refill with seq n
+	// while a later ring still holds n+1, and n+1 would be written a
+	// flush before n.
+	for i := range aw.shards {
+		aw.shards[i].mu.Lock()
+	}
 	for i := range aw.shards {
 		s := &aw.shards[i]
-		s.mu.Lock()
 		taken[i] = s.buf
 		s.buf = s.spare[:0]
 		s.spare = nil
-		s.mu.Unlock()
+	}
+	for i := range aw.shards {
+		aw.shards[i].mu.Unlock()
+	}
+	for i := range taken {
 		batch = append(batch, taken[i]...)
 	}
 	if len(batch) > 0 {

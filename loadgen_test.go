@@ -6,7 +6,7 @@ import (
 )
 
 func TestLoadgenSubmit(t *testing.T) {
-	d := newDeployment(t, Options{Trace: true})
+	d := newDeployment(t, WithTracing())
 	rep, err := d.RunLoadgen(LoadgenOptions{Mode: LoadgenModeSubmit, Count: 50, Rate: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestLoadgenSubmit(t *testing.T) {
 }
 
 func TestLoadgenPredictWarm(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +79,14 @@ func TestLoadgenPredictWarm(t *testing.T) {
 }
 
 func TestLoadgenUnknownMode(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	if _, err := d.RunLoadgen(LoadgenOptions{Mode: "bogus"}); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
 
 func TestLoadgenReportFormats(t *testing.T) {
-	d := newDeployment(t, Options{})
+	d := newDeployment(t)
 	rep, err := d.RunLoadgen(LoadgenOptions{Count: 10, Rate: 1000})
 	if err != nil {
 		t.Fatal(err)

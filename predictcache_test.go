@@ -20,9 +20,9 @@ import (
 
 // warmDeployment runs benchmark → train → pre-load and returns the
 // deployment plus the request matching its (system, HPCG) pair.
-func warmDeployment(t *testing.T, opts Options) (*Deployment, ecoplugin.PredictRequest, settings.LocalModel) {
+func warmDeployment(t *testing.T, opts ...Option) (*Deployment, ecoplugin.PredictRequest, settings.LocalModel) {
 	t.Helper()
-	d := newDeployment(t, opts)
+	d := newDeployment(t, opts...)
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func warmDeployment(t *testing.T, opts Options) (*Deployment, ecoplugin.PredictR
 }
 
 func TestPredictCacheHitSkipsModelFile(t *testing.T) {
-	d, req, local := warmDeployment(t, Options{})
+	d, req, local := warmDeployment(t)
 	ctx := context.Background()
 
 	first, err := d.Chronus.Predict.Predict(ctx, req)
@@ -87,7 +87,7 @@ func TestPredictCacheHitSkipsModelFile(t *testing.T) {
 }
 
 func TestPredictCacheInvalidatedByLoadModel(t *testing.T) {
-	d, req, _ := warmDeployment(t, Options{})
+	d, req, _ := warmDeployment(t)
 	ctx := context.Background()
 
 	if _, err := d.Chronus.Predict.Predict(ctx, req); err != nil {
@@ -117,7 +117,7 @@ func TestPredictCacheInvalidatedByLoadModel(t *testing.T) {
 }
 
 func TestPredictCacheInvalidatedBySettingsChange(t *testing.T) {
-	d, req, _ := warmDeployment(t, Options{})
+	d, req, _ := warmDeployment(t)
 	ctx := context.Background()
 
 	d.Chronus.Predict.Predict(ctx, req)
@@ -142,7 +142,7 @@ func TestPredictCacheInvalidatedBySettingsChange(t *testing.T) {
 // blob route. The job must still go through — unmodified.
 func TestBudgetOverrunSubmitsUnmodified(t *testing.T) {
 	conf := "ClusterName=ecosched\nJobSubmitPlugins=eco\nSchedulerParameters=eco_budget=50ms\n"
-	d := newDeployment(t, Options{SlurmConf: conf})
+	d := newDeployment(t, WithSlurmConf(conf))
 	if _, err := d.BenchmarkConfigs(QuickSweepConfigs(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBudgetOverrunSubmitsUnmodified(t *testing.T) {
 // budget, so the rewrite happens as usual.
 func TestBudgetFitsPreloadedPath(t *testing.T) {
 	conf := "ClusterName=ecosched\nJobSubmitPlugins=eco\nSchedulerParameters=eco_budget=50ms\n"
-	d, _, _ := warmDeployment(t, Options{SlurmConf: conf})
+	d, _, _ := warmDeployment(t, WithSlurmConf(conf))
 	job, err := d.SubmitHPCGOptIn()
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestBudgetFitsPreloadedPath(t *testing.T) {
 // goroutines (run with -race): the singleflight must deduplicate the
 // cold load and every caller must see the same configuration.
 func TestConcurrentPredict(t *testing.T) {
-	d, req, _ := warmDeployment(t, Options{})
+	d, req, _ := warmDeployment(t)
 	ctx := context.Background()
 
 	const goroutines = 16
@@ -310,7 +310,7 @@ func TestMetricsPersistAcrossDeployments(t *testing.T) {
 }
 
 func TestControllerMetrics(t *testing.T) {
-	d, _, _ := warmDeployment(t, Options{})
+	d, _, _ := warmDeployment(t)
 	job, err := d.SubmitHPCGOptIn()
 	if err != nil {
 		t.Fatal(err)
