@@ -7,8 +7,12 @@ all: vet lint test
 build:
 	$(GO) build ./...
 
+# vet also fails on any tracked Go file gofmt would rewrite; testdata
+# holds deliberately malformed analyzer fixtures and is left out.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+		test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 
 # lint runs the project's own analyzer suite (internal/lint via
 # cmd/ecolint): determinism, context flow, hot-path I/O, lock scope,

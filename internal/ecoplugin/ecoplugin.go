@@ -33,8 +33,15 @@ const OptInComment = "chronus"
 
 // SimpleHash is a byte-for-byte port of the paper's C hash (Listing 3):
 // djb2 with the paper's seed 53871.
-func SimpleHash(s string) uint64 {
-	var hash uint64 = 53871
+func SimpleHash(s string) uint64 { return hashMore(hashSeed, s) }
+
+// hashSeed is Listing 3's initial hash value.
+const hashSeed uint64 = 53871
+
+// hashMore continues a djb2 hash over s, so a concatenation can be
+// hashed piece by piece: hashMore(hashMore(seed, a), b) equals
+// SimpleHash(a+b) without building a+b.
+func hashMore[T string | []byte](hash uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		hash = ((hash << 5) + hash) + uint64(s[i]) // hash × 33 + c
 	}
@@ -45,8 +52,9 @@ func SimpleHash(s string) uint64 {
 func HashString(h uint64) string { return strconv.FormatUint(h, 10) }
 
 // SystemHash reads /proc/cpuinfo and /proc/meminfo through the given
-// file system, concatenates them and hashes the result — the system
-// identifier of §4.2.1, including its error handling.
+// file system and hashes their concatenation — the system identifier
+// of §4.2.1, including its error handling. The two files are hashed
+// one after the other, so the 12 KB concatenation is never built.
 func SystemHash(fs procfs.FileReader) (string, error) {
 	cpuinfo, err := fs.ReadFile(procfs.PathCPUInfo)
 	if err != nil {
@@ -56,7 +64,7 @@ func SystemHash(fs procfs.FileReader) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ecoplugin: system hash: %w", err)
 	}
-	return HashString(SimpleHash(string(cpuinfo) + string(meminfo))), nil
+	return HashString(hashMore(hashMore(hashSeed, cpuinfo), meminfo)), nil
 }
 
 // BinaryHash identifies the application. The paper's implementation

@@ -78,15 +78,15 @@ type Node struct {
 	// tick): the job's configuration is immutable while it runs, so the
 	// integrator reads three floats instead of re-deriving them from
 	// the calibration on every accounting step.
-	jobBaseW      float64
-	jobAmp        float64
-	jobStartTick  int64
+	jobBaseW     float64
+	jobAmp       float64
+	jobStartTick int64
 	// ladder tabulates the calibration's per-core power and phase
 	// amplitude for every frequency a job can resolve to (the spec
 	// ladder plus the calibrated P-states), so the per-start cache fill
 	// is a short scan instead of map probes and a nearest-P-state
 	// search.
-	ladder []ladderEntry
+	ladder        []ladderEntry
 	tempC         float64
 	lastT         time.Time
 	lastTick      int64 // lastT as nanosecond ticks (simclock.NowTick)

@@ -9,10 +9,12 @@
 package procfs
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"sort"
 	"strings"
+	"sync"
 
 	"ecosched/internal/hw"
 )
@@ -26,12 +28,28 @@ type FileReader interface {
 // FS serves virtual /proc and /sys files for one node. Static files
 // are rendered from the node spec; dynamic files (current frequency,
 // governor) reflect the node's live state at read time.
+//
+// The identity files job_submit_eco hashes on every opt-in submit are
+// rendered once per machine state, not once per read: /proc/meminfo is
+// a function of the spec alone, and /proc/cpuinfo of the spec and the
+// current frequency. A node's spec never changes after hw.NewNode, so
+// the memo is exact, and it holds at most one text per frequency the
+// governor can run (the spec ladder plus the calibrated P-states).
 type FS struct {
 	node *hw.Node
+
+	meminfo []byte // rendered /proc/meminfo, fixed by the spec
+
+	mu      sync.Mutex
+	cpuinfo map[int][]byte // rendered /proc/cpuinfo by CurrentFreqKHz
 }
 
 // New returns a virtual procfs over the given node.
-func New(node *hw.Node) *FS { return &FS{node: node} }
+func New(node *hw.Node) *FS {
+	f := &FS{node: node, cpuinfo: make(map[int][]byte)}
+	f.meminfo = []byte(f.renderMemInfo())
+	return f
+}
 
 // Paths served by FS.
 const (
@@ -45,12 +63,14 @@ const (
 
 // ReadFile implements FileReader for the supported paths. Unknown
 // paths return fs.ErrNotExist wrapped with the path, like os.ReadFile.
+// Like os.ReadFile, every call returns a fresh slice the caller owns:
+// memoized texts are copied out, never shared.
 func (f *FS) ReadFile(path string) ([]byte, error) {
 	switch path {
 	case PathCPUInfo:
-		return []byte(f.renderCPUInfo()), nil
+		return f.cpuInfo(), nil
 	case PathMemInfo:
-		return []byte(f.renderMemInfo()), nil
+		return bytes.Clone(f.meminfo), nil
 	case PathAvailFreqs:
 		return []byte(f.renderAvailFreqs()), nil
 	case PathCurFreq:
@@ -62,11 +82,25 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 	}
 }
 
-func (f *FS) renderCPUInfo() string {
+// cpuInfo returns /proc/cpuinfo at the node's current frequency,
+// rendering it only the first time that frequency is seen.
+func (f *FS) cpuInfo() []byte {
+	khz := f.node.CurrentFreqKHz()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	text, ok := f.cpuinfo[khz]
+	if !ok {
+		text = []byte(f.renderCPUInfo(khz))
+		f.cpuinfo[khz] = text
+	}
+	return bytes.Clone(text)
+}
+
+func (f *FS) renderCPUInfo(khz int) string {
 	spec := f.node.Spec()
 	var b strings.Builder
 	logical := spec.Cores * spec.ThreadsPerCore
-	mhz := float64(f.node.CurrentFreqKHz()) / 1000
+	mhz := float64(khz) / 1000
 	for cpu := 0; cpu < logical; cpu++ {
 		core := cpu % spec.Cores // Linux enumerates siblings after all cores
 		fmt.Fprintf(&b, "processor\t: %d\n", cpu)

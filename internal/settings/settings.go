@@ -6,10 +6,12 @@
 package settings
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -109,9 +111,17 @@ type Store interface {
 // EtcStore persists settings as JSON at a file path (the paper's
 // /etc/chronus/settings.json). Writes are atomic. A missing file loads
 // as Defaults, matching first-run behaviour.
+//
+// Load reads the file on every call, so a write by another process
+// (`chronus set` and `chronus load-model` run as their own processes)
+// is seen by the next Load. Only the JSON parse is memoized: when the
+// bytes read equal the bytes last parsed, the last result is reused.
 type EtcStore struct {
 	mu   sync.Mutex
 	path string
+
+	parsedData []byte   // the file bytes last parsed successfully; nil before
+	parsed     Settings // their parse
 }
 
 // NewEtcStore returns a store at path.
@@ -120,7 +130,8 @@ func NewEtcStore(path string) *EtcStore { return &EtcStore{path: path} }
 // Path returns the settings file location.
 func (e *EtcStore) Path() string { return e.path }
 
-// Load implements Store.
+// Load implements Store. The returned LocalModels is the caller's
+// own copy, so SetModel on it cannot reach the memoized parse.
 func (e *EtcStore) Load() (Settings, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -131,6 +142,20 @@ func (e *EtcStore) Load() (Settings, error) {
 	if err != nil {
 		return Settings{}, fmt.Errorf("settings: %w", err)
 	}
+	if e.parsedData == nil || !bytes.Equal(data, e.parsedData) {
+		s, err := e.parse(data)
+		if err != nil {
+			return Settings{}, err
+		}
+		e.parsedData, e.parsed = data, s
+	}
+	s := e.parsed
+	s.LocalModels = slices.Clone(s.LocalModels)
+	return s, nil
+}
+
+// parse decodes and validates the file's contents.
+func (e *EtcStore) parse(data []byte) (Settings, error) {
 	var s Settings
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Settings{}, fmt.Errorf("settings: parse %s: %w", e.path, err)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -161,5 +162,123 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	got, _ := m.Load()
 	if got.State != StateDeactivated {
 		t.Fatalf("MemStore lost state: %+v", got)
+	}
+}
+
+// Load memoizes only the parse: a rewrite made directly on disk, as
+// `chronus set` or `chronus load-model` in another process makes it,
+// is seen by the next Load even when the file keeps its length.
+func TestEtcStoreLoadSeesExternalSameLengthRewrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "settings.json")
+	st := NewEtcStore(path)
+	s := Defaults()
+	s.SetModel(LocalModel{ModelID: 1, SystemID: 7, SystemHash: "111", Path: "/opt/chronus/optimizer/model-1.json"})
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Load(); err != nil { // warm the memo
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(old, new string) []byte {
+		t.Helper()
+		data := []byte(strings.Replace(string(before), old, new, 1))
+		if len(data) != len(before) || string(data) == string(before) {
+			t.Fatalf("rewrite %q→%q is not a same-length change", old, new)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	rewrite("model-1.json", "model-2.json")
+	got, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := got.FindModel(7); !ok || m.Path != "/opt/chronus/optimizer/model-2.json" {
+		t.Fatalf("Load after an on-disk rewrite returned %+v, want the model-2 path", got.LocalModels)
+	}
+
+	rewrite(`"state": "user"`, `"state": "nope"`)
+	if _, err := st.Load(); err == nil {
+		t.Fatal("Load after an on-disk rewrite to an invalid state returned the memoized settings")
+	}
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := got.FindModel(7); !ok || m.Path != "/opt/chronus/optimizer/model-1.json" {
+		t.Fatalf("Load after restoring the file returned %+v, want the model-1 path", got.LocalModels)
+	}
+}
+
+// A caller editing the model registry of a loaded Settings (SetModel
+// replaces in place) must not change what the next Load returns.
+func TestEtcStoreLoadReturnsCallerOwnedModels(t *testing.T) {
+	st := NewEtcStore(filepath.Join(t.TempDir(), "settings.json"))
+	s := Defaults()
+	s.SetModel(LocalModel{ModelID: 1, SystemID: 7, Path: "/opt/chronus/optimizer/model-1.json"})
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	first, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.SetModel(LocalModel{ModelID: 9, SystemID: 7, Path: "/tmp/poison.json"})
+	first.SetModel(LocalModel{ModelID: 10, SystemID: 8, Path: "/tmp/extra.json"})
+	next, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.LocalModels) != 1 || next.LocalModels[0].ModelID != 1 {
+		t.Fatalf("Load after a caller's SetModel returned %+v, want the saved model 1 only", next.LocalModels)
+	}
+}
+
+// Concurrent loads share the parse memo while a writer saves; run
+// with -race.
+func TestEtcStoreConcurrentLoadAndSave(t *testing.T) {
+	st := NewEtcStore(filepath.Join(t.TempDir(), "settings.json"))
+	if err := st.Save(Defaults()); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s, err := st.Load()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.SetModel(LocalModel{ModelID: int64(i), SystemID: 1})
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		s := Defaults()
+		s.SetModel(LocalModel{ModelID: int64(i), SystemID: 2})
+		if err := st.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	s, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.LocalModels) != 1 || s.LocalModels[0].ModelID != 19 {
+		t.Fatalf("final Load returned %+v, want the last saved model 19", s.LocalModels)
 	}
 }

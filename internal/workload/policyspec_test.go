@@ -36,10 +36,12 @@ func policyTestSpec() Spec {
 // job-field validation branches.
 func TestPolicySpecValidateErrors(t *testing.T) {
 	mutate := map[string]func(*Spec){
-		"empty policy block":          func(s *Spec) { s.Policy = &PolicySpec{} },
-		"negative cluster cap":        func(s *Spec) { s.Policy.PowerCapW = -1 },
-		"unknown cap partition":       func(s *Spec) { s.Policy.PartitionCapsW[0].Name = "gpu" },
-		"duplicate cap partition":     func(s *Spec) { s.Policy.PartitionCapsW = append(s.Policy.PartitionCapsW, PartitionCap{Name: "debug", CapW: 1}) },
+		"empty policy block":    func(s *Spec) { s.Policy = &PolicySpec{} },
+		"negative cluster cap":  func(s *Spec) { s.Policy.PowerCapW = -1 },
+		"unknown cap partition": func(s *Spec) { s.Policy.PartitionCapsW[0].Name = "gpu" },
+		"duplicate cap partition": func(s *Spec) {
+			s.Policy.PartitionCapsW = append(s.Policy.PartitionCapsW, PartitionCap{Name: "debug", CapW: 1})
+		},
 		"non-positive partition cap":  func(s *Spec) { s.Policy.PartitionCapsW[0].CapW = 0 },
 		"unknown cap mode":            func(s *Spec) { s.Policy.CapMode = "turbo" },
 		"cap mode without budget":     func(s *Spec) { s.Policy.PowerCapW = 0; s.Policy.PartitionCapsW = nil },
