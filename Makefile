@@ -104,12 +104,13 @@ profile-cluster:
 # alloc-check guards the zero-allocation guarantees of the simulator
 # hot paths: the telemetry emit path (sharded counter, gauge,
 # bucketed histogram), the simclock schedule+pop cycle on the Action
-# fast path, and the slurm submit→complete cycle (pooled jobs, chunked
-# arena, aggregate accounting). Every row must report 0 allocs/op, or
-# a heap allocation has crept into a per-event path.
+# fast path, the slurm submit→complete cycle (pooled jobs, chunked
+# arena, aggregate accounting), and a policy scheduling pass over a
+# deep held queue. Every row must report 0 allocs/op, or a heap
+# allocation has crept into a per-event path.
 alloc-check:
-	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState' -benchtime=1000x -benchmem ./internal/metrics ./internal/simclock ./internal/slurm | \
-	awk '{ print } /allocs\/op$$/ { seen++; if ($$(NF-1) != "0") { bad = 1; print "alloc-check: " $$1 " allocates on the hot path" } } END { if (seen < 5) { print "alloc-check: expected 5 benchmarks, saw " seen+0; exit 1 }; exit bad }'
+	$(GO) test -run XXX -bench 'ShardedCounterInc|BucketedHistogramObserve|GaugeSet|SimSchedule$$|SubmitSteadyState|SchedulePassHeldQueue' -benchtime=1000x -benchmem ./internal/metrics ./internal/simclock ./internal/slurm | \
+	awk '{ print } /allocs\/op$$/ { seen++; if ($$(NF-1) != "0") { bad = 1; print "alloc-check: " $$1 " allocates on the hot path" } } END { if (seen < 6) { print "alloc-check: expected 6 benchmarks, saw " seen+0; exit 1 }; exit bad }'
 
 # serve-smoke boots `chronus serve` against a fresh data directory and
 # fails unless /metrics and /healthz answer 200 with the expected

@@ -99,6 +99,10 @@ const (
 	SourceCold PredictSource = "cold"
 )
 
+// predictSources are the known sources, in the order of the plugin's
+// per-source counter handles (Plugin.mSources).
+var predictSources = [...]PredictSource{SourcePreloaded, SourceCache, SourceCold}
+
 // PredictRequest identifies one submit-time prediction: the system
 // and application hashes from job_submit_eco, plus the remaining
 // latency budget the answer must fit in (zero = unenforced).
@@ -142,6 +146,8 @@ type Plugin struct {
 	mPredictLatency *metrics.BucketedHistogram
 	mRewritten      *metrics.Counter
 	mFallback       *metrics.Counter
+	mBudget         *metrics.Counter
+	mSources        [len(predictSources)]*metrics.Counter
 
 	// Stats for observability and the A2 ablation. Fallbacks counts
 	// submissions that were left unmodified because prediction failed
@@ -190,7 +196,23 @@ func New(fs procfs.FileReader, p Predictor, st settings.Store, opts ...Option) (
 	plugin.mPredictLatency = plugin.metrics.BucketedHistogram(metricPredictLatency)
 	plugin.mRewritten = plugin.metrics.Counter(metricRewritten)
 	plugin.mFallback = plugin.metrics.Counter(metricFallback)
+	plugin.mBudget = plugin.metrics.Counter(metricBudgetViolations)
+	for i, src := range predictSources {
+		plugin.mSources[i] = plugin.metrics.Counter(metricSourcePrefix + string(src))
+	}
 	return plugin, nil
+}
+
+// sourceCounter returns the rewrite counter of a prediction source: a
+// handle resolved in New for the known sources, a registry lookup for
+// any other a custom Predictor reports.
+func (p *Plugin) sourceCounter(src PredictSource) *metrics.Counter {
+	for i, known := range predictSources {
+		if src == known {
+			return p.mSources[i]
+		}
+	}
+	return p.metrics.Counter(metricSourcePrefix + string(src))
 }
 
 // Budget returns the configured predicted-latency budget (zero =
@@ -304,7 +326,7 @@ func (p *Plugin) jobSubmit(ctx context.Context, desc *slurm.JobDesc, span *trace
 	desc.MaxFreqKHz = res.Config.FreqKHz
 	p.Rewritten++
 	p.mRewritten.Inc()
-	p.metrics.Counter(metricSourcePrefix + string(res.Source)).Inc()
+	p.sourceCounter(res.Source).Inc()
 	p.LastErr = nil
 	if span != nil {
 		span.SetAttr("verdict", VerdictRewritten)
@@ -323,7 +345,7 @@ func (p *Plugin) fallBack(span *trace.Span, err error) error {
 	p.Fallbacks++
 	p.mFallback.Inc()
 	if errors.Is(err, ErrBudgetExceeded) {
-		p.metrics.Counter(metricBudgetViolations).Inc()
+		p.mBudget.Inc()
 	}
 	if span != nil {
 		span.SetAttr("verdict", VerdictFallback)

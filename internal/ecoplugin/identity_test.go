@@ -245,9 +245,10 @@ func BenchmarkPluginJobSubmit(b *testing.B) {
 // JobSubmit when neither the machine state nor settings.json changed:
 // the two caller-owned /proc copies, the system and binary hash
 // strings, five in os.ReadFile of settings.json (two for the file, the
-// path, stat and the buffer), the caller's LocalModels copy and the
-// source metric name. Re-rendering /proc/cpuinfo alone costs hundreds.
-const pluginSubmitAllocs = 11
+// path, stat and the buffer) and the caller's LocalModels copy. The
+// per-source rewrite counter is a handle resolved in New. Re-rendering
+// /proc/cpuinfo alone costs hundreds.
+const pluginSubmitAllocs = 10
 
 func TestPluginJobSubmitAllocCeiling(t *testing.T) {
 	p, desc := newSteadyPlugin(t)

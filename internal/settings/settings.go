@@ -194,7 +194,9 @@ func (e *EtcStore) Save(s Settings) error {
 	return nil
 }
 
-// MemStore is an in-memory Store for tests.
+// MemStore is an in-memory Store for tests. Like EtcStore, it copies
+// LocalModels on Load and Save, so a caller editing its Settings never
+// edits the store.
 type MemStore struct {
 	mu sync.Mutex
 	s  Settings
@@ -211,7 +213,9 @@ func (m *MemStore) Load() (Settings, error) {
 	if !m.ok {
 		return Defaults(), nil
 	}
-	return m.s, nil
+	s := m.s
+	s.LocalModels = slices.Clone(s.LocalModels)
+	return s, nil
 }
 
 // Save implements Store.
@@ -219,6 +223,7 @@ func (m *MemStore) Save(s Settings) error {
 	if !s.State.Valid() {
 		return fmt.Errorf("settings: invalid state %q", s.State)
 	}
+	s.LocalModels = slices.Clone(s.LocalModels)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.s, m.ok = s, true

@@ -244,6 +244,30 @@ func TestEtcStoreLoadReturnsCallerOwnedModels(t *testing.T) {
 	}
 }
 
+func TestMemStoreLoadReturnsCallerOwnedModels(t *testing.T) {
+	st := NewMemStore()
+	s := Defaults()
+	s.SetModel(LocalModel{ModelID: 1, SystemID: 7, Path: "/opt/chronus/optimizer/model-1.json"})
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	// The saver's own slice is not the store's either.
+	s.SetModel(LocalModel{ModelID: 2, SystemID: 7, Path: "/tmp/saver.json"})
+	first, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.SetModel(LocalModel{ModelID: 9, SystemID: 7, Path: "/tmp/poison.json"})
+	first.SetModel(LocalModel{ModelID: 10, SystemID: 8, Path: "/tmp/extra.json"})
+	next, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.LocalModels) != 1 || next.LocalModels[0].ModelID != 1 || next.LocalModels[0].Path != "/opt/chronus/optimizer/model-1.json" {
+		t.Fatalf("Load after a caller's SetModel returned %+v, want the saved model 1 only", next.LocalModels)
+	}
+}
+
 // Concurrent loads share the parse memo while a writer saves; run
 // with -race.
 func TestEtcStoreConcurrentLoadAndSave(t *testing.T) {

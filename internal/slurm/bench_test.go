@@ -57,3 +57,59 @@ func BenchmarkSubmitSteadyState(b *testing.B) {
 		b.Fatalf("completed %d jobs, want >= %d", got, b.N)
 	}
 }
+
+// BenchmarkSchedulePassHeldQueue measures one scheduling pass over a
+// deep queue with the energy policies on: 512 queued jobs, half held by
+// the deferral policy (the signal stays above its threshold) and half
+// pairable memory-profile jobs too wide for the room beside any running
+// primary, on a cluster whose every node is busy. No job starts, so
+// every iteration is the same steady-state pass: the walk, one signal
+// read per instant, each job's cached release bound, and the pairing
+// prefilter in place of a node scan per job. The alloc-check make
+// target pins it at 0 allocs/op.
+func BenchmarkSchedulePassHeldQueue(b *testing.B) {
+	sim := simclock.New()
+	ctl, err := NewCluster(sim, DefaultConf(),
+		WithPartitionNodes("batch", clusterNodes(sim, 4)...),
+		WithSchedPolicies(
+			&CoSchedulePolicy{},
+			&DeferralPolicy{
+				Signal:    func(time.Time) float64 { return 1 },
+				Threshold: 0.5,
+				MaxDefer:  1000 * time.Hour,
+			},
+		),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	submit := func(tasks int, profile string, deferrable bool) {
+		shape := workload.Sleep("held", time.Hour)
+		shape.Profile = profile
+		desc := JobDesc{Name: "held", NumTasks: tasks, TimeLimit: 2 * time.Hour, UserID: 1000, Shape: &shape, Deferrable: deferrable}
+		if _, err := ctl.SubmitDesc(&desc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Compute primaries leave 8 free cores on every node.
+	for i := 0; i < 4; i++ {
+		submit(24, workload.ProfileCompute, false)
+	}
+	for i := 0; i < 256; i++ {
+		submit(8, workload.ProfileMemory, true)
+		submit(16, workload.ProfileMemory, false)
+	}
+	p := ctl.parts[0]
+	if len(p.pending) != 512 || p.freeN != 0 {
+		b.Fatalf("queue %d jobs, %d idle nodes; want 512 and 0", len(p.pending), p.freeN)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl.schedulePart(p)
+	}
+	b.StopTimer()
+	if len(p.pending) != 512 || ctl.PolicyTotals().CoScheduled != 0 {
+		b.Fatalf("pass changed the queue: %d pending, %d co-scheduled", len(p.pending), ctl.PolicyTotals().CoScheduled)
+	}
+}

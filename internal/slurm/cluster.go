@@ -68,12 +68,19 @@ type partition struct {
 
 	// Cluster-policy state (energy.go), maintained only when the policy
 	// layer is active: the power budget, the modelled draw (idle floor
-	// included) with its run peak, and the pending deferral wake.
-	capW        float64
-	drawW       float64
-	peakDrawW   float64
-	deferArmed  bool
-	deferWakeAt time.Time
+	// included) with its run peak, and the pending deferral wake tick.
+	capW          float64
+	drawW         float64
+	peakDrawW     float64
+	deferArmed    bool
+	deferWakeTick int64
+	// pairRoom is the co-scheduling prefilter: the most free cores
+	// beside any running primary that could take a secondary, indexed
+	// by the primary's profile (pairProfileIdx). It is an upper bound
+	// while pairRoomOK holds: each pass starts with it stale, and any
+	// node that may newly take a secondary marks it stale again.
+	pairRoom   [2]int
+	pairRoomOK bool
 }
 
 // takeIdle claims the lowest-slotted idle node that satisfies the

@@ -191,6 +191,8 @@ type Controller struct {
 	deferThreshold float64
 	deferMax       time.Duration
 	deferCheck     time.Duration
+	deferSigTick   int64 // instant of the memoised signal (deferSignalNow)
+	deferSigVal    float64
 	policyNames    []string
 	ptotals        PolicyTotals
 
@@ -590,6 +592,9 @@ func (c *Controller) submit(ctx context.Context, desc *JobDesc) (*Job, error) {
 	job.submitTick = c.sim.NowTick()
 	job.part = part
 	job.userSlot = c.slotFor(desc.UserID)
+	if c.deferral && desc.Deferrable {
+		job.deferUntil = c.deferBound(job)
+	}
 	if desc.Shape != nil {
 		// Copy the shape into the job-owned buffer: the description's
 		// pointer may be to a caller's stack scratch (the cluster
@@ -719,6 +724,9 @@ func (c *Controller) schedulePart(p *partition) {
 		return
 	}
 	now := c.sim.Now()
+	// The pairing prefilter is measured lazily, at most once per pass
+	// unless a primary starts mid-pass (claimNode marks it stale).
+	p.pairRoomOK = false
 	_, span := c.tracer.Start(context.Background(), spanSchedule)
 	if span != nil {
 		span.SetAttr("partition", p.name)
@@ -792,7 +800,7 @@ func (c *Controller) schedulePart(p *partition) {
 			continue
 		}
 		if c.deferral && job.Desc.Deferrable {
-			if hold, wake := c.deferHold(job, now); hold {
+			if hold, wake := c.deferHold(job, c.sim.NowTick()); hold {
 				job.Reason = reasonEnergyHold
 				c.armDeferWake(p, wake)
 				remaining = append(remaining, job)
@@ -835,6 +843,8 @@ func (c *Controller) claimNode(n *nodeD, job *Job) {
 	for _, p := range n.parts {
 		p.busy++
 		p.occGauge.Set(float64(p.busy) / float64(len(p.nodes)))
+		// The new primary may take a secondary.
+		p.pairRoomOK = false
 	}
 }
 
@@ -1146,6 +1156,7 @@ func (c *Controller) Cancel(id int) error {
 			// vacate the slot; the node stays claimed by the primary.
 			n.coJob = nil
 			job.node = nil
+			markPairRoomStale(n)
 			kickParts = n.parts
 		case job.coSecondary:
 			// Promoted secondary (the primary already ended, taking the
@@ -1269,6 +1280,7 @@ func (c *Controller) setDrain(name string, drained bool) error {
 			}
 		} else {
 			c.refreeNode(n)
+			markPairRoomStale(n)
 		}
 		return nil
 	}

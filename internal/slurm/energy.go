@@ -16,6 +16,7 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"ecosched/internal/perfmodel"
@@ -208,9 +209,12 @@ func (p *CoSchedulePolicy) attach(c *Controller) error {
 }
 
 // DeferralSignal reports the energy signal (spot price, carbon
-// intensity — any deterministic function of simulated time) the
-// deferral policy compares against its threshold. The indirection
-// keeps this package decoupled from internal/energymarket.
+// intensity) the deferral policy compares against its threshold. It
+// must be a pure function of the simulated instant: the controller
+// reads it at most once per instant and reuses that value for every
+// held job the instant's passes visit, so a signal with hidden state
+// or side effects would observe fewer calls than jobs. The
+// indirection keeps this package decoupled from internal/energymarket.
 type DeferralSignal func(t time.Time) float64
 
 // DefaultDeferCheck is how often a held job re-reads the signal when
@@ -253,6 +257,7 @@ func (p *DeferralPolicy) attach(c *Controller) error {
 	}
 	c.deferral = true
 	c.deferSignal = p.Signal
+	c.deferSigTick = math.MinInt64 // no instant read yet
 	c.deferThreshold = p.Threshold
 	c.deferMax = p.MaxDefer
 	c.deferCheck = check
@@ -344,11 +349,11 @@ type deferAction struct{ c *Controller }
 func (a *deferAction) Fire(arg uint64) {
 	p := a.c.parts[arg]
 	// Wake events cannot be cancelled, so staleness is guarded here: a
-	// duplicate superseded by a re-arm (different deferWakeAt) must be
+	// duplicate superseded by a re-arm (different deferWakeTick) must be
 	// dropped, not clear the armed flag — treating a stale fire as live
 	// re-arms another wake per duplicate and the event population grows
 	// geometrically at shared re-check instants.
-	if !p.deferArmed || !a.c.sim.Now().Equal(p.deferWakeAt) {
+	if !p.deferArmed || a.c.sim.NowTick() != p.deferWakeTick {
 		return
 	}
 	p.deferArmed = false
@@ -356,21 +361,23 @@ func (a *deferAction) Fire(arg uint64) {
 }
 
 // armDeferWake schedules a scheduling pass for the partition at the
-// given instant, unless one is already armed at or before it.
-func (c *Controller) armDeferWake(p *partition, at time.Time) {
-	if p.deferArmed && !at.Before(p.deferWakeAt) {
+// given tick, unless one is already armed at or before it.
+func (c *Controller) armDeferWake(p *partition, at int64) {
+	if p.deferArmed && at >= p.deferWakeTick {
 		return
 	}
 	p.deferArmed = true
-	p.deferWakeAt = at
-	c.sim.AtAction(at, &c.deferAct, uint64(p.idx))
+	p.deferWakeTick = at
+	c.sim.AtAction(c.sim.Now().Add(time.Duration(at-c.sim.NowTick())), &c.deferAct, uint64(p.idx))
 }
 
-// deferHold decides whether the deferral policy holds the job at now,
-// returning the next re-check instant when it does. The release order
-// is: deadline/max-defer bound first (never starve), then a
-// favourable signal.
-func (c *Controller) deferHold(job *Job, now time.Time) (bool, time.Time) {
+// deferBound returns the tick by which the deferral policy must release
+// the job: MaxDefer past submission, or earlier when the deadline
+// leaves only its time limit of slack. Submit computes it once per
+// deferrable job. The bound is taken in time.Time arithmetic and
+// converted to a tick relative to the submit tick, which saturates
+// instead of overflowing for bounds far beyond the simulable range.
+func (c *Controller) deferBound(job *Job) int64 {
 	latest := job.SubmitTime.Add(c.deferMax)
 	if !job.Desc.Deadline.IsZero() {
 		// Dispatching by Deadline − TimeLimit leaves room for the worst
@@ -379,26 +386,50 @@ func (c *Controller) deferHold(job *Job, now time.Time) (bool, time.Time) {
 			latest = byDeadline
 		}
 	}
-	if !now.Before(latest) {
+	d := latest.Sub(job.SubmitTime)
+	if d > 0 && job.submitTick > math.MaxInt64-int64(d) {
+		return math.MaxInt64
+	}
+	return job.submitTick + int64(d)
+}
+
+// deferSignalNow returns the deferral signal at the current instant.
+// The value is memoised for the instant (DeferralSignal is a pure
+// function of it), so a pass over a deep queue of held jobs, and every
+// further pass at the same instant, costs one signal evaluation.
+func (c *Controller) deferSignalNow() float64 {
+	if now := c.sim.NowTick(); now != c.deferSigTick {
+		c.deferSigTick = now
+		c.deferSigVal = c.deferSignal(c.sim.Now())
+	}
+	return c.deferSigVal
+}
+
+// deferHold decides whether the deferral policy holds the job at the
+// tick now, returning the next re-check tick when it does. The release
+// order is: deadline/max-defer bound first (never starve), then a
+// favourable signal.
+func (c *Controller) deferHold(job *Job, now int64) (bool, int64) {
+	if now >= job.deferUntil {
 		if job.deferred {
 			// Clear the flag so a forced job that still finds no node is
 			// counted once, not once per scheduling pass.
 			job.deferred = false
 			c.ptotals.ForcedDispatches++
 		}
-		return false, time.Time{}
+		return false, 0
 	}
-	if c.deferSignal(now) <= c.deferThreshold {
-		return false, time.Time{}
+	if c.deferSignalNow() <= c.deferThreshold {
+		return false, 0
 	}
 	if !job.deferred {
 		job.deferred = true
 		c.ptotals.DeferredJobs++
 		c.mDeferred.Inc()
 	}
-	wake := now.Add(c.deferCheck)
-	if wake.After(latest) {
-		wake = latest
+	wake := job.deferUntil
+	if time.Duration(wake-now) > c.deferCheck {
+		wake = now + int64(c.deferCheck)
 	}
 	return true, wake
 }
@@ -471,10 +502,63 @@ func (c *Controller) dropDraw(job *Job, n *nodeD) {
 	job.drawDeltaW = 0
 }
 
+// pairCandidate reports whether the node's running primary could take
+// a co-scheduled secondary: a non-exclusive primary with its own hw job
+// on an undrained node whose secondary slot is empty.
+func pairCandidate(n *nodeD) bool {
+	pri := n.current
+	return pri != nil && n.coJob == nil && !n.drained && n.hwJob != nil &&
+		!pri.Desc.Exclusive && !pri.coSecondary
+}
+
+// pairProfileIdx indexes partition.pairRoom by a primary's profile;
+// -1 for a profile no secondary pairs with.
+func pairProfileIdx(profile string) int {
+	switch profile {
+	case workload.ProfileCompute:
+		return 0
+	case workload.ProfileMemory:
+		return 1
+	}
+	return -1
+}
+
+// measurePairRoom fills the partition's pairing prefilter: the most
+// free cores beside any pairing candidate, per primary profile.
+func measurePairRoom(p *partition) {
+	p.pairRoom = [2]int{}
+	for _, n := range p.nodes {
+		if !pairCandidate(n) {
+			continue
+		}
+		i := pairProfileIdx(n.current.shapeProfile())
+		if i < 0 {
+			continue
+		}
+		if room := n.spec.Cores - n.current.Desc.NumTasks; room > p.pairRoom[i] {
+			p.pairRoom[i] = room
+		}
+	}
+	p.pairRoomOK = true
+}
+
+// markPairRoomStale invalidates the pairing prefilter of every
+// partition sharing the node, which may have just become able to take
+// a secondary (a primary started, its secondary slot emptied, or it
+// left the drain state).
+func markPairRoomStale(n *nodeD) {
+	for _, p := range n.parts {
+		p.pairRoomOK = false
+	}
+}
+
 // tryPair attempts to co-schedule the job as a secondary beside a
 // running primary of the complementary profile, scanning the
 // partition's nodes in slot order (deterministic first-fit, like
-// takeIdle). Returns true when the job started.
+// takeIdle). Returns true when the job started. A job needing more
+// cores than the prefilter's room beside any primary of the wanted
+// profile returns without the scan: no node could pass the core
+// check below.
 func (c *Controller) tryPair(p *partition, job *Job, now time.Time) bool {
 	prof := job.shapeProfile()
 	if prof == "" || job.Desc.Exclusive {
@@ -484,12 +568,18 @@ func (c *Controller) tryPair(p *partition, job *Job, now time.Time) bool {
 	if prof == workload.ProfileCompute {
 		want = workload.ProfileMemory
 	}
+	if !p.pairRoomOK {
+		measurePairRoom(p)
+	}
+	if job.Desc.NumTasks > p.pairRoom[pairProfileIdx(want)] {
+		return false
+	}
 	for _, n := range p.nodes {
-		pri := n.current
-		if pri == nil || n.coJob != nil || n.drained || n.hwJob == nil {
+		if !pairCandidate(n) {
 			continue
 		}
-		if pri.Desc.Exclusive || pri.coSecondary || pri.shapeProfile() != want {
+		pri := n.current
+		if pri.shapeProfile() != want {
 			continue
 		}
 		if pri.Desc.NumTasks+job.Desc.NumTasks > n.spec.Cores {
@@ -572,6 +662,7 @@ func (c *Controller) completeSecondary(job *Job, n *nodeD) {
 		// Primary still running: vacate the secondary slot.
 		n.coJob = nil
 		job.node = nil
+		markPairRoomStale(n)
 	case n.current == job:
 		// Promoted (primary ended first): the node is now free. The
 		// primary's completion already ended the hw job.

@@ -471,3 +471,152 @@ func TestPolicyAccessors(t *testing.T) {
 		t.Fatalf("plain controller draw = %g/%g/%g", d, p, w)
 	}
 }
+
+func TestDeferralSignalReadOncePerInstant(t *testing.T) {
+	sim := simclock.New()
+	cheapAt := sim.Now().Add(time.Hour)
+	reads := map[int64]int{}
+	signal := func(at time.Time) float64 {
+		reads[at.UnixNano()]++
+		if at.Before(cheapAt) {
+			return 1.0
+		}
+		return 0.1
+	}
+	c, err := tryPolicyCluster(sim, 1, &DeferralPolicy{
+		Signal: signal, Threshold: 0.5, MaxDefer: 6 * time.Hour, Check: 10 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three held jobs and a job that runs: every submission runs a pass
+	// over the whole queue at the same instant, and each pass visits
+	// every held job.
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		desc := sleepDesc(8, 20*time.Minute, "")
+		desc.Deferrable = true
+		j, err := c.Submit(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	eager, err := c.Submit(sleepDesc(4, 5*time.Minute, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run()
+	for _, j := range append(jobs, eager) {
+		if j.State != StateCompleted {
+			t.Fatalf("job %d ended %s (%s)", j.ID, j.State, j.Reason)
+		}
+	}
+	if len(reads) < 2 {
+		t.Fatalf("signal read at %d instants, want the submit instant and the re-checks", len(reads))
+	}
+	for at, n := range reads {
+		if n > 1 {
+			t.Fatalf("signal read %d times at %v, want at most once per instant", n, time.Unix(0, at).UTC())
+		}
+	}
+	if tot := c.PolicyTotals(); tot.DeferredJobs != 3 {
+		t.Fatalf("DeferredJobs = %d, want 3", tot.DeferredJobs)
+	}
+}
+
+func TestCoSchedulePairsBesidePrimaryStartedMidPass(t *testing.T) {
+	sim := simclock.New()
+	// Two nodes: the first with twice the memory, so a memory-hungry
+	// job fits only there.
+	big := hw.DefaultSpec()
+	big.Name = "bigmem"
+	big.RAMGB *= 2
+	small := hw.DefaultSpec()
+	small.Name = "small"
+	c, err := NewCluster(sim, DefaultConf(), WithPartitionNodes("batch",
+		hw.NewNode(sim, big, perfmodel.Default(), 1),
+		hw.NewNode(sim, small, perfmodel.Default(), 2),
+	), WithSchedPolicies(&CoSchedulePolicy{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(d JobDesc) *Job {
+		t.Helper()
+		j, err := c.Submit(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	cores := big.Cores
+	// A compute primary fills all but 4 cores of the big node; an
+	// unprofiled job holds the small node for ten minutes.
+	pri := submit(sleepDesc(cores-4, 2*time.Hour, workload.ProfileCompute))
+	holder := submit(sleepDesc(8, 10*time.Minute, ""))
+	if pri.NodeName != big.Name || holder.NodeName != small.Name {
+		t.Fatalf("placement: primary on %q, holder on %q", pri.NodeName, holder.NodeName)
+	}
+	// Queued behind them, in pass order: a memory job only the big node
+	// can hold (it measures the pairing room, 4 cores, before anything
+	// starts), a compute job that takes the small node when it frees,
+	// and a memory job that fits only beside that new primary.
+	hungry := sleepDesc(8, 10*time.Minute, workload.ProfileMemory)
+	hungry.MemoryMB = small.RAMGB*1024 + 1
+	first := submit(hungry)
+	mid := submit(sleepDesc(8, time.Hour, workload.ProfileCompute))
+	sec := submit(sleepDesc(16, 10*time.Minute, workload.ProfileMemory))
+	for _, j := range []*Job{first, mid, sec} {
+		if j.State != StatePending {
+			t.Fatalf("job %d = %s before the small node frees", j.ID, j.State)
+		}
+	}
+
+	sim.RunUntil(holder.SubmitTime.Add(10 * time.Minute))
+	if holder.State != StateCompleted || mid.State != StateRunning || mid.NodeName != small.Name {
+		t.Fatalf("holder %s, mid %s on %q", holder.State, mid.State, mid.NodeName)
+	}
+	if sec.State != StateRunning || sec.NodeName != small.Name || !sec.StartTime.Equal(mid.StartTime) {
+		t.Fatalf("secondary = %s on %q from %v, want paired beside job %d in the pass that started it at %v",
+			sec.State, sec.NodeName, sec.StartTime, mid.ID, mid.StartTime)
+	}
+	if first.State != StatePending {
+		t.Fatalf("memory-hungry job = %s, want PENDING", first.State)
+	}
+}
+
+func TestCoSchedulePairingRoomBoundary(t *testing.T) {
+	_, c := newPolicyCluster(t, 1, &CoSchedulePolicy{})
+	cores := hw.DefaultSpec().Cores
+	pri, err := c.Submit(sleepDesc(cores-12, time.Hour, workload.ProfileCompute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pri.State != StateRunning {
+		t.Fatalf("primary = %s", pri.State)
+	}
+	// One core more than the room beside the only candidate: no pass
+	// may pair it, however often it is retried.
+	over, err := c.Submit(sleepDesc(13, 10*time.Minute, workload.ProfileMemory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.State != StatePending || over.Reason != "Resources" {
+		t.Fatalf("oversized secondary = %s (%q), want PENDING/Resources", over.State, over.Reason)
+	}
+	// Exactly the room: pairs in the next pass, which also retries the
+	// oversized job.
+	fit, err := c.Submit(sleepDesc(12, 10*time.Minute, workload.ProfileMemory))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fit.State != StateRunning || fit.NodeName != pri.NodeName {
+		t.Fatalf("exact-fit secondary = %s on %q, want RUNNING beside the primary", fit.State, fit.NodeName)
+	}
+	if over.State != StatePending {
+		t.Fatalf("oversized secondary = %s after the retry", over.State)
+	}
+	if tot := c.PolicyTotals(); tot.CoScheduled != 1 {
+		t.Fatalf("CoScheduled = %d, want 1", tot.CoScheduled)
+	}
+}

@@ -141,9 +141,12 @@ type Job struct {
 	// estSysW/estCPUW are the secondary's estimated steady power deltas
 	// (the hw stack models one job per node, so the secondary's energy
 	// is integrated from the power model); deferred records that the
-	// deferral policy held the job at least once.
+	// deferral policy held the job at least once; deferUntil is the tick
+	// by which the deferral policy must release it (deferBound), set at
+	// submission for deferrable jobs.
 	coSecondary bool
 	deferred    bool
+	deferUntil  int64
 	drawDeltaW  float64
 	estSysW     float64
 	estCPUW     float64
